@@ -6,18 +6,18 @@ sparse (cycle + chords) regimes.  Also exercises the |V|-1 diameter
 fallback on a 20-party swap — the path production deployments of the
 protocol would actually take, since exact longest-path is NP-hard.
 
-The whole grid executes as one :func:`repro.api.run_sweep` call with
-process-pool fan-out, recorded through the :mod:`repro.lab` bench store —
-a warm re-run of this bench serves every scenario from
-``results/bench_runs.jsonl`` and executes zero engines.  The table is
-read off the resulting :class:`~repro.api.SweepReport`.
+Each row runs the ``herlihy`` simulator directly
+(``get_engine("herlihy").run``), never :func:`repro.api.run_sweep`: a
+sweep answers these all-conforming scenarios in closed form, and this
+bench is the simulator baseline E28 reads back from ``BENCH_E22.json``.
 """
 
+import time
 from random import Random
 
-from _tables import bench_store, emit_bench_json, emit_table
+from _tables import emit_bench_json, emit_table
 
-from repro.api import Scenario, Sweep, get_engine, run_sweep
+from repro.api import Scenario, get_engine
 from repro.digraph.generators import complete_digraph, random_strongly_connected
 
 WORKLOADS = [
@@ -33,16 +33,16 @@ WORKLOADS = [
 
 
 def sweep():
-    batch = Sweep("e22-scale")
-    for label, digraph, overrides in WORKLOADS:
-        batch.add(
-            "herlihy", Scenario(topology=digraph, name=label, **overrides)
-        )
-    with bench_store() as store:
-        report = run_sweep(batch, parallel=True, store=store)
+    started = time.perf_counter()
+    herlihy = get_engine("herlihy")
+    reports = [
+        herlihy.run(Scenario(topology=digraph, name=label, **overrides))
+        for label, digraph, overrides in WORKLOADS
+    ]
+    wall_seconds = time.perf_counter() - started
 
     rows = []
-    for run in report.reports:
+    for run in reports:
         assert run.all_deal(), run.scenario.name
         digraph = run.scenario.topology
         rows.append(
@@ -56,36 +56,35 @@ def sweep():
                 f"{run.wall_seconds * 1000:.0f}",
             ]
         )
-    return rows, report
+    return rows, reports, wall_seconds
 
 
 def test_scale_sweep(benchmark):
-    rows, report = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rows, reports, wall_seconds = benchmark.pedantic(sweep, rounds=1, iterations=1)
     emit_table(
         "E22",
         "Scale characterization: simulation cost vs swap size "
-        f"(one run_sweep call, {report.mode}, {report.workers} worker(s))",
+        "(the herlihy simulator, one run per row)",
         ["workload", "|V|", "|A|", "|L|", "events", "stored bytes", "wall ms"],
         rows,
         notes=(
             "All sizes end all-Deal, including the 20-party swap running "
             "on the |V|-1 diameter fallback.  Event counts track "
-            "|A|·|L| (the unlock traffic), matching E10.  The grid runs "
-            "as one repro.api sweep: per-row wall times are measured "
-            "inside the engine, so they are comparable across workers."
+            "|A|·|L| (the unlock traffic), matching E10.  Every row "
+            "simulates in this process; wall times are measured inside "
+            "the engine."
         ),
     )
-    assert len(report) == len(WORKLOADS)
+    assert len(reports) == len(WORKLOADS)
     assert all(int(row[6]) < 30_000 for row in rows)
 
     emit_bench_json(
         "E22",
-        report.reports,
+        reports,
         aggregates={
-            "mode": report.mode,
-            "executed": report.executed,
-            "cached": report.cached,
-            "sweep_wall_ms": round(report.wall_seconds * 1000, 1),
+            "mode": "simulated",
+            "executed": len(reports),
+            "sweep_wall_ms": round(wall_seconds * 1000, 1),
         },
     )
 

@@ -1,4 +1,4 @@
-"""The analytic fast-path engine: closed-form ``RunReport`` synthesis.
+"""The closed form: ``RunReport`` synthesis without simulation.
 
 E22 measures ~10-30 ms of pure-python event dispatch per warm
 ``herlihy`` run — yet for conforming scenarios every quantity in the
@@ -6,12 +6,19 @@ report is already known in closed form: :mod:`repro.analysis.predict`
 computes the Fig. 3 end states, the §4 deadline ladder, completion
 time, unlock-call counts, and the Theorem 4.10 contract bytes, and
 :mod:`repro.analysis.protocol` defines exactly which scenarios that
-model covers (``coverage="full"``).  This module closes the loop: the
-``analytic`` engine *synthesizes* the simulator's ``RunReport`` —
+model covers (``coverage="full"``).  This module closes the loop:
+:func:`closed_form` *synthesizes* the simulator's ``RunReport`` —
 byte-identical ``to_dict()`` output, same run keys — without firing a
-single scheduler event, and falls back transparently to the real
-:class:`~repro.sim.harness.SimulationHarness` whenever the analyzer
+single scheduler event, and answers ``None`` whenever the analyzer
 cannot certify the scenario (``coverage="verdict"``/``"none"``).
+
+It is the default resolution: ``run_sweep``, the fleet worker and
+``repro.serve`` try it on every store miss before they simulate, and
+:func:`report_entry` gives each of them the same store entry.  The
+simulator stays the oracle the closed form is checked against:
+``get_engine(name).run()`` always runs the named engine (the
+``analytic`` engine excepted, which is this closed form with a
+simulator fallback), and ``lab check --verify`` never synthesizes.
 
 Three report fields are not in :class:`~repro.analysis.predict.
 Prediction` and are reconstructed here by **transcript synthesis** —
@@ -101,13 +108,8 @@ PATH_SIMULATED = "simulated"
 FALLBACK_ENGINE = "herlihy"
 
 
-def fast_path_eligible(analysis: ScenarioAnalysis) -> bool:
-    """Can a report be synthesized from this analysis without running?"""
-    return analysis.coverage == COVERAGE_FULL and analysis.prediction is not None
-
-
 def analyze_for_fast_path(scenario: Scenario, engine: str) -> ScenarioAnalysis | None:
-    """The analysis gating the fast path, or ``None`` when ``engine``
+    """The analysis gating the closed form, or ``None`` when ``engine``
     is not the one the closed form reproduces (non-``herlihy`` engines
     always simulate — cheaper than analyzing what we cannot use).
 
@@ -128,11 +130,57 @@ def analyze_for_fast_path(scenario: Scenario, engine: str) -> ScenarioAnalysis |
     return analysis
 
 
+def closed_form(engine_name: str, scenario: Scenario) -> RunReport | None:
+    """The run's report in closed form, or ``None`` when it must simulate.
+
+    The one resolution step every runtime takes before it simulates:
+    the shape-memoized gate (:func:`analyze_for_fast_path`), then the
+    synthesis for a ``coverage="full"`` scenario.  ``None`` means the
+    analyzer cannot certify the scenario, or the replay refused it (an
+    :class:`~repro.errors.AnalysisError`, e.g. a hashkey expiry the
+    feasibility gate missed): the caller simulates rather than guesses.
+    The report carries the synthesis's wall time and the
+    ``extra["path"] = "analytic"`` stamp.
+    """
+    analysis = analyze_for_fast_path(scenario, engine_name)
+    if (
+        analysis is None
+        or analysis.coverage != COVERAGE_FULL
+        or analysis.prediction is None
+    ):
+        return None
+    started = time.perf_counter()
+    try:
+        report = synthesize_report(scenario, analysis.prediction)
+    except AnalysisError:
+        return None
+    report.wall_seconds = time.perf_counter() - started
+    report.extra[PATH_KEY] = PATH_ANALYTIC
+    return report
+
+
+def report_entry(report: RunReport) -> dict[str, Any]:
+    """The store entry of a successful run, in every runtime's format.
+
+    A report without a provenance stamp came from an engine and is
+    stamped ``"simulated"``.  Milestone counts ride *beside* the report,
+    not inside it: the report dict stays byte-identical to pre-session
+    releases while the store still learns the lifecycle shape of every
+    fresh run (a deserialized report has none to give).
+    """
+    report.extra.setdefault(PATH_KEY, PATH_SIMULATED)
+    entry: dict[str, Any] = {"ok": True, "report": report.to_dict()}
+    counts = report.milestone_counts()
+    if counts is not None:
+        entry["milestones"] = counts
+    return entry
+
+
 # ---------------------------------------------------------------------------
 # the shape memo
 # ---------------------------------------------------------------------------
 #
-# For every scenario the fast path accepts (coverage="full": uniform
+# For every scenario the closed form accepts (coverage="full": uniform
 # timing, no faults, no deviating strategies), the synthesized report is
 # a pure function of the scenario's *shape* — its canonical content
 # minus the seed.  The seed only varies the leader secrets, and those
@@ -322,7 +370,7 @@ def synthesize_report(scenario: Scenario, prediction: Prediction) -> RunReport:
 
     Precondition: ``analyze_scenario(scenario)`` returned
     ``coverage="full"`` with this ``prediction`` attached (the caller's
-    responsibility — :meth:`AnalyticEngine.run` checks it).  The result
+    responsibility — :func:`closed_form` checks it).  The result
     carries ``engine="herlihy"`` — the engine whose run it reproduces —
     so run keys and serialized bytes match the simulated report;
     ``wall_seconds`` is left at ``0.0`` for the caller to stamp.
@@ -518,18 +566,19 @@ def _synthesize(scenario: Scenario, prediction: Prediction) -> RunReport:
 
 
 class AnalyticEngine(Engine):
-    """Closed-form fast path for ``coverage="full"`` scenarios.
+    """The closed form under an engine name of its own.
 
-    ``run()`` synthesizes the ``herlihy`` report without simulating when
-    the analyzer fully covers the scenario, and silently falls back to
-    the real simulation otherwise; either way the report records its
-    provenance in ``extra["path"]``.  ``open()`` always returns a real
+    ``run()`` is :func:`closed_form`, falling back to the real
+    ``herlihy`` simulation when that refuses; either way the report
+    records its provenance in ``extra["path"]``.  Every runtime already
+    tries the closed form first, so the name mostly matters for the run
+    keys of stores that recorded it.  ``open()`` always returns a real
     (simulated) execution session — stepping, probes, and interventions
     have no closed form by definition.
     """
 
     name = "analytic"
-    description = "closed-form fast path (coverage=full), simulator fallback"
+    description = "closed form (coverage=full), simulator fallback"
 
     def prepare(self, scenario: Scenario) -> PreparedSimulation:
         return get_engine(FALLBACK_ENGINE).prepare(scenario)
@@ -541,23 +590,10 @@ class AnalyticEngine(Engine):
         return get_engine(FALLBACK_ENGINE).open(scenario)
 
     def run(self, scenario: Scenario) -> RunReport:
-        started = time.perf_counter()
-        analysis = analyze_for_fast_path(scenario, FALLBACK_ENGINE)
-        assert analysis is not None
-        if fast_path_eligible(analysis):
-            assert analysis.prediction is not None
-            try:
-                report = synthesize_report(scenario, analysis.prediction)
-            except AnalysisError:
-                # The replay refused (e.g. a hashkey expiry the
-                # feasibility gate missed): simulate rather than guess.
-                pass
-            else:
-                report.wall_seconds = time.perf_counter() - started
-                report.extra[PATH_KEY] = PATH_ANALYTIC
-                return report
-        report = get_engine(FALLBACK_ENGINE).run(scenario)
-        report.extra[PATH_KEY] = PATH_SIMULATED
+        report = closed_form(self.name, scenario)
+        if report is None:
+            report = get_engine(FALLBACK_ENGINE).run(scenario)
+            report.extra[PATH_KEY] = PATH_SIMULATED
         return report
 
 

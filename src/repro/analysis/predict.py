@@ -40,8 +40,8 @@ and per-arc chain lag ``lag(u, v)``:
 These formulas are cross-validated byte-for-byte against the full
 simulator over every strongly connected topology family in
 ``tests/test_analysis_parity.py`` (and in CI via ``lab check
---verify``) — that parity is the contract a future analytic fast-path
-`Engine` must match.
+--verify``) — that parity is what lets the closed form
+(:func:`repro.analysis.engine.closed_form`) stand in for the simulator.
 """
 
 from __future__ import annotations

@@ -27,8 +27,9 @@ characterise without executing it:
     not been validated against.  Verdict ``unsupported`` (or
     ``invalid`` when structural errors were found).
 
-The verdict table is the contract a future analytic fast-path `Engine`
-must match (ROADMAP: analytic engine).
+The verdict table is the contract the closed form
+(:func:`repro.analysis.engine.closed_form`) is held to: it synthesizes
+a report only for ``coverage="full"``.
 """
 
 from __future__ import annotations

@@ -71,7 +71,6 @@ from repro.api.sweep import (
     run_key,
     run_sweep,
     smoke_sweep,
-    synthesize_entry,
 )
 from repro.errors import (
     EngineError,
@@ -115,7 +114,6 @@ __all__ = [
     "run_key",
     "run_sweep",
     "smoke_sweep",
-    "synthesize_entry",
     "EngineError",
     "ExecutionError",
     "ScenarioError",

@@ -284,7 +284,7 @@ ENGINES: tuple[Engine, ...] = tuple(
     )
 )
 
-# The seventh engine — the closed-form fast path over the `herlihy`
+# The seventh engine — the closed form of the `herlihy`
 # model — lives in repro.analysis.engine (it is built from the static
 # verifier, not from a harness assembly) and registers itself when its
 # module executes.  Importing it last keeps the graph acyclic: that

@@ -35,13 +35,14 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
+from repro.analysis.engine import closed_form, report_entry
 from repro.api.engine import get_engine
 from repro.api.report import RunReport
 from repro.api.scenario import Scenario
 from repro.crypto.hashing import sha256
 from repro.digraph.digraph import Digraph
 from repro.digraph.multigraph import MultiDigraph
-from repro.errors import EngineError
+from repro.errors import EngineError, ReproError
 from repro.sim.faults import FaultPlan
 
 #: One unit of sweep work: which engine runs which scenario.
@@ -169,103 +170,63 @@ def smoke_sweep() -> Sweep:
 # ---------------------------------------------------------------------------
 
 
-def synthesize_entry(engine_name: str, scenario: Scenario) -> dict | None:
-    """A closed-form store entry for a fully covered scenario, or
-    ``None`` when the analyzer cannot certify it (the caller simulates).
-
-    This is the fast path :func:`run_sweep` and the fleet worker share:
-    the synthesized report carries the ``extra["path"] = "analytic"``
-    provenance stamp and its milestone counts ride beside the report,
-    exactly as an executed entry's would.
-    """
-    from repro.analysis.engine import (
-        PATH_ANALYTIC,
-        PATH_KEY,
-        analyze_for_fast_path,
-        fast_path_eligible,
-        synthesize_report,
-    )
-
-    analysis = analyze_for_fast_path(scenario, engine_name)
-    if analysis is None or not fast_path_eligible(analysis):
-        return None
-    item_start = time.perf_counter()
-    assert analysis.prediction is not None
-    report = synthesize_report(scenario, analysis.prediction)
-    report.wall_seconds = time.perf_counter() - item_start
-    report.extra[PATH_KEY] = PATH_ANALYTIC
+def failure_entry(engine_name: str, scenario: Scenario, error: Exception) -> dict:
+    """The store entry of a run an engine refused or could not finish."""
     return {
-        "ok": True,
-        "report": report.to_dict(),
-        "milestones": report.milestone_counts(),
+        "ok": False,
+        "engine": engine_name,
+        "scenario": scenario.to_dict(),
+        "error_type": type(error).__name__,
+        "message": str(error),
     }
 
 
-def execute_payload(payload: tuple[str, dict], fast_path: bool = False) -> dict:
-    """Execute one ``(engine_name, scenario_dict)`` payload into a store
-    entry dict — the single unit of sweep work, reusable by anything
-    that drains scenarios outside :func:`run_sweep` (the
-    :mod:`repro.fleet` worker loop drives exactly this function).
+def simulate(engine_name: str, scenario: Scenario) -> dict:
+    """Run the named engine on ``scenario`` into a store entry.
 
-    Must stay module-level so it pickles under both fork and spawn
-    start methods.  Domain errors (:class:`ReproError` — e.g. a
-    single-leader engine on a digraph with no single-vertex feedback
-    vertex set) are expected in cartesian sweeps and come back as
-    failure records instead of killing the whole batch; genuine bugs
-    still propagate.
-
-    With ``fast_path=True``, fully covered scenarios are answered in
-    closed form via :func:`synthesize_entry`; everything an engine
-    actually produced is stamped ``extra["path"] = "simulated"`` so
-    ``lab stats --by path`` partitions fleet-drained runs the same way
-    it partitions ``run_sweep(fast_path=True)`` ones.
+    Domain errors (:class:`ReproError` — e.g. a single-leader engine on
+    a digraph with no single-vertex feedback vertex set) are expected
+    in cartesian sweeps and come back as failure entries instead of
+    killing the whole batch; genuine bugs still propagate.
     """
-    from repro.errors import ReproError
-
-    engine_name, scenario_dict = payload
-    scenario = Scenario.from_dict(scenario_dict)
-    if fast_path:
-        synthesized = synthesize_entry(engine_name, scenario)
-        if synthesized is not None:
-            return synthesized
     try:
         report = get_engine(engine_name).run(scenario)
     except ReproError as error:
-        return {
-            "ok": False,
-            "engine": engine_name,
-            "scenario": scenario_dict,
-            "error_type": type(error).__name__,
-            "message": str(error),
-        }
-    entry = {"ok": True, "report": report.to_dict()}
-    if fast_path:
-        entry["report"].setdefault("extra", {}).setdefault("path", "simulated")
-    counts = report.milestone_counts()
-    if counts is not None:
-        # Milestones ride *beside* the report, not inside it: the report
-        # dict stays byte-identical to pre-session releases while the
-        # store still learns the lifecycle shape of every fresh run.
-        entry["milestones"] = counts
-    return entry
+        return failure_entry(engine_name, scenario, error)
+    return report_entry(report)
 
 
-def _run_payload(payload: tuple[str, dict]) -> dict:
-    return execute_payload(payload)
-
-
-def execute_chunk(
-    payloads: Sequence[tuple[str, dict]], fast_path: bool = False
-) -> list[dict]:
-    """Execute one chunk of payloads into entry dicts, in order.
-
-    Chunks are the unit of persistence: :func:`run_sweep` records every
-    entry of a chunk the moment its future completes (so a chunk
-    finished out of sweep order survives an interruption even while
-    earlier chunks are still running), and the fleet coordinator
-    commits a chunk's entries atomically with its lease release.
+def execute_payload(payload: tuple[str, dict]) -> dict:
+    """Resolve one ``(engine_name, scenario_dict)`` payload into a store
+    entry — the unit of work for anything that drains scenarios outside
+    :func:`run_sweep` (the :mod:`repro.fleet` worker loop drives exactly
+    this function): the closed form when it applies
+    (:func:`repro.analysis.engine.closed_form`), else :func:`simulate`.
     """
-    return [execute_payload(payload, fast_path=fast_path) for payload in payloads]
+    engine_name, scenario_dict = payload
+    scenario = Scenario.from_dict(scenario_dict)
+    report = closed_form(engine_name, scenario)
+    if report is None:
+        return simulate(engine_name, scenario)
+    return report_entry(report)
+
+
+def execute_chunk(payloads: Sequence[tuple[str, dict]]) -> list[dict]:
+    """Simulate one chunk of payloads into entry dicts, in order.
+
+    The process pool's unit of work and of persistence: :func:`run_sweep`
+    records every entry of a chunk the moment its future completes (so a
+    chunk finished out of sweep order survives an interruption even
+    while earlier chunks are still running).  The pool only receives
+    the residue :func:`repro.analysis.engine.closed_form` already
+    refused, so a chunk goes straight to the engines without a second
+    gate.  Must stay module-level so it pickles under both fork and
+    spawn start methods.
+    """
+    return [
+        simulate(engine_name, Scenario.from_dict(scenario_dict))
+        for engine_name, scenario_dict in payloads
+    ]
 
 
 def _run_chunk(payloads: Sequence[tuple[str, dict]]) -> list[dict]:
@@ -326,7 +287,7 @@ class SweepReport:
     mode: str
     """``process-pool``, ``serial``, ``serial-fallback``, ``cached``
     (every scenario was served from the store), or ``analytic`` (every
-    fresh scenario was answered by the closed-form fast path)."""
+    fresh scenario was answered in closed form)."""
     workers: int = 1
     failures: list[FailedRun] = field(default_factory=list)
     executed: int = 0
@@ -334,9 +295,9 @@ class SweepReport:
     cached: int = 0
     """Scenarios served from the run store without executing."""
     analytic: int = 0
-    """Scenarios answered by the closed-form fast path (``fast_path=``):
-    a report synthesized inline from the static analysis, no engine
-    executed and no worker slot occupied."""
+    """Scenarios answered in closed form: a report synthesized inline
+    from the static analysis, no engine executed and no worker slot
+    occupied."""
 
     def __len__(self) -> int:
         return len(self.reports)
@@ -441,7 +402,6 @@ def run_sweep(
     chunksize: int | None = None,
     store: Any | None = None,
     progress: Callable[[SweepProgress], None] | None = None,
-    fast_path: bool = False,
 ) -> SweepReport:
     """Execute every scenario in ``sweep`` and aggregate the reports.
 
@@ -466,15 +426,15 @@ def run_sweep(
     lands — including out-of-order chunks — plus one leading tick for
     any cache-served prefix.
 
-    ``fast_path=True`` partitions the store-miss residue by analyzer
-    eligibility *before* chunking: scenarios the static verifier covers
-    with ``coverage="full"`` (see :mod:`repro.analysis.engine`) get
-    their reports synthesized inline — closed form, no engine, no
-    worker slot — and only the remainder ships to the pool.  Every
-    report produced under ``fast_path`` carries its provenance in
-    ``extra["path"]`` (``"analytic"`` or ``"simulated"``); run keys are
-    unaffected (the path stamp is not part of the key preimage), so
-    fast-path and plain sweeps share one warm store.
+    The store-miss residue is partitioned *before* chunking: scenarios
+    the static verifier covers with ``coverage="full"`` get their
+    reports from :func:`repro.analysis.engine.closed_form` inline — no
+    engine, no worker slot (``SweepReport.analytic``) — and only the
+    remainder ships to the pool to simulate.  Every fresh report
+    carries its provenance in ``extra["path"]`` (``"analytic"`` or
+    ``"simulated"``); run keys are unaffected (the path stamp is not
+    part of the key preimage), so stores written before the stamp
+    existed stay warm.
     """
     items = sweep.items() if isinstance(sweep, Sweep) else tuple(sweep)
     if not items:
@@ -513,12 +473,6 @@ def run_sweep(
 
     def record(index: int, entry: dict) -> None:
         nonlocal completed
-        if fast_path and entry.get("ok"):
-            # Provenance stamp: entries synthesized inline already carry
-            # "analytic"; everything an engine produced is "simulated".
-            entry["report"].setdefault("extra", {}).setdefault(
-                "path", "simulated"
-            )
         entries[index] = entry
         completed += 1
         if store is not None:
@@ -532,36 +486,31 @@ def run_sweep(
         if flush is not None:
             flush()
 
-    analytic_total = 0
-    if fast_path and pending:
-        # Partition the residue by analyzer eligibility before chunking:
-        # fully-covered scenarios are answered in closed form right here
-        # (cheaper than shipping them to a worker), the rest simulate.
-        residue: list[int] = []
-        synthesized: list[int] = []
-        for index in pending:
-            engine_name, scenario = items[index]
-            entry = synthesize_entry(engine_name, scenario)
-            if entry is None:
-                residue.append(index)
-                continue
-            record(index, entry)
-            synthesized.append(index)
-        if synthesized:
-            flush_store()
-            notify(synthesized)
-        analytic_total = len(synthesized)
-        pending = residue
-
-    payloads = [(items[i][0], items[i][1].to_dict()) for i in pending]
+    # Partition the residue before chunking: fully-covered scenarios
+    # are answered in closed form right here (cheaper than shipping
+    # them to a worker), the rest simulate.
+    residue: list[int] = []
+    synthesized: list[int] = []
+    for index in pending:
+        report = closed_form(*items[index])
+        if report is None:
+            residue.append(index)
+            continue
+        record(index, report_entry(report))
+        synthesized.append(index)
+    if synthesized:
+        flush_store()
+        notify(synthesized)
+    analytic_total = len(synthesized)
+    pending = residue
 
     mode = "cached"
     workers = 0
-    if payloads and parallel and len(payloads) > 1:
+    if parallel and len(pending) > 1:
         mode = "process-pool"
-        workers = max_workers or min(len(payloads), os.cpu_count() or 2, 8)
+        workers = max_workers or min(len(pending), os.cpu_count() or 2, 8)
         if chunksize is None:
-            chunksize = max(1, len(payloads) // (workers * 4))
+            chunksize = max(1, len(pending) // (workers * 4))
         # Only pool-infrastructure failures trigger the serial fallback;
         # exceptions raised by engine code inside a worker propagate
         # unchanged (domain errors were already collected worker-side).
@@ -575,9 +524,10 @@ def run_sweep(
             # submission order, so a result completed out of order would
             # sit unrecorded (and unpersisted) until every earlier chunk
             # finished — an interrupted sweep would lose completed work.
+            payloads = [(items[i][0], items[i][1].to_dict()) for i in pending]
             chunks = [
                 (pending[i : i + chunksize], payloads[i : i + chunksize])
-                for i in range(0, len(payloads), chunksize)
+                for i in range(0, len(pending), chunksize)
             ]
             try:
                 with pool:
@@ -596,17 +546,17 @@ def run_sweep(
                 # get a correct (serial) sweep; anything recorded before
                 # the pool broke is kept, not re-run.
                 mode, workers = "serial-fallback", 1
-    elif payloads:
+    elif pending:
         mode, workers = "serial", 1
 
     if mode in ("serial", "serial-fallback"):
-        for index, payload in zip(pending, payloads):
+        for index in pending:
             if entries[index] is None:
-                record(index, _run_payload(payload))
+                record(index, simulate(*items[index]))
                 flush_store()
                 notify((index,))
 
-    if not payloads and analytic_total:
+    if not pending and analytic_total:
         mode = "analytic"
 
     return _assemble(

@@ -18,7 +18,6 @@ Underwater, something no coalition can do to the hashkey protocol
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any
 
@@ -325,45 +324,3 @@ def _prepare_two_phase_commit_swap(
         )
 
     return harness, start, finalize
-
-
-def _run_two_phase_commit_swap(
-    digraph: Digraph,
-    config: SwapConfig | None = None,
-    byzantine_commit_only: set[Arc] | None = None,
-    coordinator_crashes: bool = False,
-) -> SwapResult:
-    """Run the trusted-coordinator exchange.
-
-    ``byzantine_commit_only`` switches the coordinator to a partial commit
-    (the trust failure); ``coordinator_crashes`` exercises the timeout
-    path (everyone refunds; NoDeal).
-    """
-    harness, start, finalize = _prepare_two_phase_commit_swap(
-        digraph,
-        config=config,
-        byzantine_commit_only=byzantine_commit_only,
-        coordinator_crashes=coordinator_crashes,
-    )
-    return finalize(harness.run_to_quiescence(start))
-
-
-def run_two_phase_commit_swap(
-    digraph: Digraph,
-    config: SwapConfig | None = None,
-    byzantine_commit_only: set[Arc] | None = None,
-    coordinator_crashes: bool = False,
-) -> SwapResult:
-    """Deprecated shim; use ``repro.api.get_engine("2pc")``."""
-    warnings.warn(
-        "run_two_phase_commit_swap is deprecated; use "
-        "repro.api.get_engine('2pc').run(scenario) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _run_two_phase_commit_swap(
-        digraph,
-        config=config,
-        byzantine_commit_only=byzantine_commit_only,
-        coordinator_crashes=coordinator_crashes,
-    )

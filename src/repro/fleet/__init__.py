@@ -15,9 +15,9 @@ locally) drain one grid without duplicating work:
   crash-recovery discipline of Golab's *Recoverable Consensus in
   Shared Memory* applied to our own infrastructure.
 * :class:`~repro.fleet.worker.FleetWorker` — the ``lab work`` loop:
-  claim → execute (via :func:`repro.api.sweep.execute_payload`, with
-  the analytic fast path honoured) → heartbeat → commit, with seeded
-  backoff+jitter on claim contention.
+  claim → execute (via :func:`repro.api.sweep.execute_payload`: the
+  closed form when it applies, else the simulator) → heartbeat →
+  commit, with seeded backoff+jitter on claim contention.
 * :func:`~repro.fleet.driver.run_fleet` — the ``lab sweep --fleet N``
   driver: enqueues a grid, spawns local worker processes, monitors
   their liveness, and reports the drained store.

@@ -77,9 +77,8 @@ def _worker_command(
     store: Path,
     config: FleetConfig,
     worker_id: str,
-    fast_path: bool,
 ) -> list[str]:
-    command = [
+    return [
         sys.executable,
         "-m",
         "repro",
@@ -96,9 +95,6 @@ def _worker_command(
         "--chunk-size",
         str(config.chunk_size),
     ]
-    if fast_path:
-        command.append("--fast-path")
-    return command
 
 
 def _worker_env() -> dict[str, str]:
@@ -114,7 +110,6 @@ def run_fleet(
     path: str | Path,
     workers: int = 4,
     config: FleetConfig | None = None,
-    fast_path: bool = False,
     into: str | Path | None = None,
     timeout: float | None = None,
     poll_interval: float = 0.2,
@@ -150,9 +145,7 @@ def run_fleet(
             for index in range(workers):
                 worker_id = f"fleet-{os.getpid()}-w{index}"
                 procs[worker_id] = subprocess.Popen(
-                    _worker_command(
-                        store_path, active_config, worker_id, fast_path
-                    ),
+                    _worker_command(store_path, active_config, worker_id),
                     env=env,
                     stdout=subprocess.DEVNULL,
                     stderr=subprocess.DEVNULL,

@@ -8,9 +8,9 @@ path and loops:
    side effect — every claim is also the fleet's recovery step);
 2. **execute** each item through
    :func:`repro.api.sweep.execute_payload` — the same unit
-   ``run_sweep`` fans out to its process pool, so fleet results are
-   key-for-key identical to a serial sweep, analytic fast path
-   included;
+   ``run_sweep`` resolves, closed form first and the simulator
+   otherwise, so fleet results are key-for-key identical to a serial
+   sweep;
 3. **heartbeat** after every item, so the lease TTL only has to
    outlive one scenario, not a whole chunk;
 4. **commit** the chunk's entries atomically with the lease release.
@@ -85,13 +85,11 @@ class FleetWorker:
         path: str | Path,
         config: FleetConfig | None = None,
         worker_id: str | None = None,
-        fast_path: bool = False,
         clock: Clock = time.time,
         sleep: Callable[[float], None] = time.sleep,
         backoff: SeededBackoff | None = None,
     ) -> None:
         self.worker_id = worker_id or default_worker_id()
-        self.fast_path = fast_path
         self.coordinator = FleetCoordinator(path, config=config, clock=clock)
         self._clock = clock
         self._sleep = sleep
@@ -141,7 +139,7 @@ class FleetWorker:
         entries: list[tuple[str, dict[str, Any]]] = []
         try:
             for key, payload in zip(claim.run_keys, claim.payloads):
-                entries.append((key, execute_payload(payload, self.fast_path)))
+                entries.append((key, execute_payload(payload)))
                 stats.items_executed += 1
                 self.coordinator.heartbeat(chunk_id, self.worker_id)
             self.coordinator.commit_chunk(chunk_id, self.worker_id, entries)

@@ -50,8 +50,8 @@ DIMENSIONS = ("engine", "family", "mix", "params", "timing")
 #: (:mod:`repro.analysis.protocol`), recomputed from the stored scenario
 #: — grouping observed ``all-Deal`` rates by it makes
 #: prediction-vs-observed divergence visible straight from the CLI.
-#: ``path`` is the execution-path provenance stamp fast-path sweeps
-#: record in ``report.extra["path"]`` (:mod:`repro.analysis.engine`) —
+#: ``path`` is the execution-path provenance stamp every runtime
+#: records in ``report.extra["path"]`` (:mod:`repro.analysis.engine`) —
 #: ``analytic`` for closed-form reports, ``simulated`` for engine runs
 #: (also the default for entries recorded before the stamp existed, all
 #: of which did run the simulator).
@@ -146,9 +146,9 @@ class RunFacts:
     """Milestone counts recorded beside the report (1.5+ stores); ``None``
     for failure records and entries recorded before the session API."""
     path: str = "-"
-    """Execution-path provenance: ``report.extra["path"]`` when stamped
-    (fast-path sweeps), ``"simulated"`` for unstamped success records
-    (every pre-fast-path entry ran the simulator), ``"-"`` for failures
+    """Execution-path provenance: ``report.extra["path"]`` when stamped,
+    ``"simulated"`` for unstamped success records (every entry recorded
+    before the stamp existed ran the simulator), ``"-"`` for failures
     (no report was produced on either path)."""
     scenario_dict: dict | None = None
     """The serialized scenario, kept for derived dimensions that need to

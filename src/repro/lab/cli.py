@@ -4,15 +4,15 @@ Subcommands::
 
     lab run       expand a workload (preset or --family) and execute it
                   through the content-addressed store; warm re-runs
-                  execute zero engines; --fast-path answers fully-
-                  covered scenarios from the closed-form analytic
-                  engine without simulating; --fleet N drains the
+                  execute zero engines; fully-covered scenarios are
+                  answered in closed form without simulating (the
+                  "analytic" count); --fleet N drains the
                   workload with N local worker processes coordinated
                   by the claim/lease protocol (repro.fleet) instead of
                   the in-process pool
     lab work      run one fleet worker loop against a shared SQLite
-                  store: claim a chunk, execute it (fast path
-                  honoured), heartbeat, commit atomically; exits when
+                  store: claim a chunk, execute it (closed form
+                  first), heartbeat, commit atomically; exits when
                   the queue drains.  Refuses JSONL/:memory: stores
                   (no concurrent-writer safety)
     lab fleet     inspect fleet coordination state (`fleet status`:
@@ -22,9 +22,9 @@ Subcommands::
                   structural diagnostics + closed-form predictions
                   (repro.analysis.protocol); --verify cross-checks
                   predictions against reports — reusing stored reports
-                  when the store already holds them, executing only the
-                  residue (--fast-path synthesizes full-coverage
-                  residue closed-form)
+                  when the store already holds them, simulating only
+                  the residue (never the closed form: this is its
+                  oracle)
     lab bisect    binary-search a timing knob (stragglers `violation`)
                   per topology family to the all-Deal boundary
     lab ls        list stored runs (key, engine, scenario, verdict)
@@ -52,8 +52,7 @@ Examples::
     python -m repro lab ls
     python -m repro lab show 3f2a
     python -m repro lab diff 3f2a 9c41
-    python -m repro lab run --preset smoke --fast-path
-    python -m repro lab check --verify --fast-path
+    python -m repro lab check --verify --store :memory:   # simulate everything
     python -m repro lab stats --by engine,mix
     python -m repro lab stats --by timing
     python -m repro lab stats --by path          # analytic vs simulated
@@ -213,7 +212,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.no_store:
         report = run_sweep(
             sweep, parallel=not args.serial, max_workers=args.workers,
-            progress=progress, fast_path=args.fast_path,
+            progress=progress,
         )
         print(report.summary())
         print(f"store: disabled (--no-store) — executed {report.executed}")
@@ -225,7 +224,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             max_workers=args.workers,
             store=store,
             progress=progress,
-            fast_path=args.fast_path,
         )
         total = len(store)
     print(report.summary())
@@ -262,7 +260,6 @@ def _run_fleet_drain(args: argparse.Namespace, sweep) -> int:
         args.store,
         workers=args.fleet,
         config=config,
-        fast_path=args.fast_path,
     )
     receipt = fleet_report.receipt
     counts = fleet_report.status.get("counts", {})
@@ -301,7 +298,6 @@ def _cmd_work(args: argparse.Namespace) -> int:
         resolved,
         config=config,
         worker_id=args.worker_id,
-        fast_path=args.fast_path,
     ) as worker:
         stats = worker.run(max_chunks=args.max_chunks)
     if args.json:
@@ -408,9 +404,8 @@ def _verify_prediction(
     scenario,
     analysis,
     stored: dict | None = None,
-    fast_path: bool = False,
 ) -> tuple[str, list[str], str]:
-    """Execute ``scenario`` and compare the report to the static analysis.
+    """Simulate ``scenario`` and compare the report to the static analysis.
 
     Returns ``(status, mismatches, source)`` with status ``"ok"``,
     ``"skip"`` (coverage none on a valid scenario — nothing checkable),
@@ -422,11 +417,11 @@ def _verify_prediction(
     ``stored`` is this run's already-recorded store entry, when one
     exists under the same run key: a successful entry's report is
     cross-checked as-is instead of re-executing the engine, and a
-    failure entry *is* the refusal an invalid scenario demands.
-    ``fast_path`` lets full-coverage residue come from the closed-form
-    synthesizer instead of the simulator.  ``source`` says which route
-    produced the evidence: ``stored``, ``analytic``, ``executed``, or
-    ``-`` (nothing ran).
+    failure entry *is* the refusal an invalid scenario demands.  The
+    residue always runs the engine, never the closed form: this is the
+    oracle the closed form is checked against.  ``source`` says which
+    route produced the evidence: ``stored``, ``executed``, or ``-``
+    (nothing ran).
     """
     from repro.analysis.protocol import (
         COVERAGE_FULL,
@@ -448,13 +443,9 @@ def _verify_prediction(
     if stored is not None and stored.get("ok"):
         report = RunReport.from_dict(stored["report"])
         source = "stored"
-    elif fast_path and analysis.coverage == COVERAGE_FULL:
-        from repro.analysis.engine import synthesize_report
-
-        report = synthesize_report(scenario, analysis.prediction)
-        source = "analytic"
     else:
-        report = get_engine(engine).run(scenario)
+        # A session simulates under every engine name, ``analytic`` too.
+        report = get_engine(engine).open(scenario).run_to_completion()
         source = "executed"
     if analysis.coverage == COVERAGE_VERDICT:
         if report.all_deal():
@@ -543,7 +534,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 )
                 status, mismatches, source = _verify_prediction(
                     engine, scenario, analysis,
-                    stored=stored, fast_path=args.fast_path,
+                    stored=stored,
                 )
                 if source != "-":
                     sources[source] = sources.get(source, 0) + 1
@@ -971,12 +962,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print per-chunk completion (with milestone counts) as "
              "results land",
     )
-    run.add_argument(
-        "--fast-path", action="store_true",
-        help="answer fully-covered scenarios from the closed-form "
-             "analytic engine (byte-identical reports, no simulation); "
-             "the residue still runs through the workers",
-    )
     run.add_argument("--serial", action="store_true", help="skip the process pool")
     run.add_argument("--workers", type=int, default=None)
     run.add_argument(
@@ -1022,15 +1007,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument(
         "--verify", action="store_true",
-        help="also execute each scenario and cross-check the analysis: "
+        help="also simulate each scenario (or read its stored report) "
+             "and cross-check the analysis: "
              "full-coverage predictions must byte-match the report, "
              "invalid scenarios must be refused by the engine "
              "(exit 1 on any mismatch)",
-    )
-    check.add_argument(
-        "--fast-path", action="store_true",
-        help="with --verify: satisfy full-coverage scenarios from the "
-             "closed-form synthesizer instead of the simulator",
     )
     check.add_argument(
         "--strict", action="store_true",
@@ -1123,11 +1104,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--worker-id", default=None,
         help="this worker's identity in the lease table "
              "(default: {hostname}-{pid})",
-    )
-    work.add_argument(
-        "--fast-path", action="store_true",
-        help="answer fully-covered scenarios from the closed-form "
-             "analytic engine (same semantics as `lab run --fast-path`)",
     )
     work.add_argument(
         "--max-chunks", type=int, default=None,

@@ -221,7 +221,9 @@ def sample_scenarios(
     """``count`` distinct submission payloads (seed-varied, cache-cold).
 
     Shared by ``python -m repro serve-bench`` and bench E27 so the CLI
-    and the recorded artifact measure the same workload.
+    and the recorded artifact measure the same workload.  The timing is
+    ``jittered``, which the closed form does not cover, so every payload
+    runs through the execution pool and streams its milestones.
     """
     from repro.api.scenario import Scenario
     from repro.digraph.generators import cycle_digraph, triangle
@@ -234,6 +236,7 @@ def sample_scenarios(
                 topology=topology,
                 seed=base_seed + index,
                 name=f"serve-load:{family}#{index}",
+                timing="jittered",
             ).to_dict()
         )
     return scenarios

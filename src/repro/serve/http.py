@@ -519,10 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="evict a session running longer than this")
     parser.add_argument("--engine", default="herlihy",
                         help="default engine for submissions that omit one")
-    parser.add_argument("--fast-path", action="store_true",
-                        help="settle fully-covered submissions from the "
-                             "closed-form analytic synthesizer without "
-                             "occupying an execution slot")
     return parser
 
 
@@ -534,7 +530,6 @@ def make_service(args: argparse.Namespace) -> SwapService:
         burst=args.burst,
         max_run_seconds=args.max_run_seconds,
         default_engine=args.engine,
-        fast_path=args.fast_path,
     )
     return SwapService(config, store=open_store(args.store))
 

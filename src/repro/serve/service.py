@@ -17,13 +17,13 @@ which is what both the long-poll and WebSocket transports in
 The content-addressed run store doubles as the warm cache: submissions
 are keyed by :func:`repro.api.sweep.run_key`, a seen scenario returns
 the stored entry instantly (zero engines executed), and duplicate
-in-flight submissions coalesce onto the single live execution.  With
-``ServiceConfig.fast_path`` on, a *fully-covered* scenario
-(:mod:`repro.analysis.engine`) is settled from the closed-form
-synthesizer on the submit path itself — a third tier between the warm
-hit and the cold run that never occupies an execution slot.  Settled
-and failed runs are recorded in exactly the ``run_sweep`` entry format,
-so a store warmed by the daemon warms ``lab`` sweeps and vice versa.
+in-flight submissions coalesce onto the single live execution.  A
+*fully-covered* scenario is settled from the closed form
+(:func:`repro.analysis.engine.closed_form`) on the submit path itself —
+a third tier between the warm hit and the cold run that never occupies
+an execution slot.  Settled and failed runs are recorded in exactly
+the ``run_sweep`` entry format, so a store warmed by the daemon warms
+``lab`` sweeps and vice versa.
 Aborted runs are *never* recorded — a partial report must not poison
 the cache.
 
@@ -42,9 +42,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, AsyncIterator, Mapping
 
+from repro.analysis.engine import closed_form, report_entry
 from repro.api.engine import get_engine
+from repro.api.report import RunReport
 from repro.api.scenario import Scenario
-from repro.api.sweep import run_key
+from repro.api.sweep import failure_entry, run_key
 from repro.errors import AdmissionError, ReproError, ServeError, WireError
 from repro.lab.store import MemoryStore, RunStore
 from repro.serve.events import TERMINAL_EVENTS, WIRE_SCHEMA, envelope, milestone_to_wire
@@ -76,13 +78,6 @@ class ServiceConfig:
     default_engine: str = "herlihy"
     latency_window: int = 4096
     """Settled-latency samples kept for the p50/p99 metrics."""
-    fast_path: bool = False
-    """Answer fully-covered submissions from the closed-form analytic
-    synthesizer (:mod:`repro.analysis.engine`) without occupying an
-    execution slot — a third tier between the warm-cache hit and the
-    cold run.  The synthesized report is byte-identical to what the
-    simulator would produce and is stored under the same run key, so
-    the cache stays coherent across both paths."""
 
 
 class TokenBucket:
@@ -308,20 +303,15 @@ class SwapService:
             job = self._cached_job(key, engine_name, scenario, client, stored, now)
             return SubmitResult("cached", key, job, self._queue.qsize())
 
-        # Analytic tier: a fully-covered scenario is answered from the
-        # closed-form synthesizer on the submit path itself — no queue
-        # slot, no worker, no engine.  The entry lands in the store, so
-        # every later submission of this key is a plain cache hit.
-        if self.config.fast_path:
-            from repro.analysis.engine import analyze_for_fast_path, fast_path_eligible
-
-            analysis = analyze_for_fast_path(scenario, engine_name)
-            if analysis is not None and fast_path_eligible(analysis):
-                self._counters["analytic"] += 1
-                job = self._analytic_job(
-                    key, engine_name, scenario, client, analysis, now
-                )
-                return SubmitResult("analytic", key, job, self._queue.qsize())
+        # Analytic tier: a fully-covered scenario is answered in closed
+        # form on the submit path itself — no queue slot, no worker, no
+        # engine.  The entry lands in the store, so every later
+        # submission of this key is a plain cache hit.
+        report = closed_form(engine_name, scenario)
+        if report is not None:
+            self._counters["analytic"] += 1
+            job = self._analytic_job(key, engine_name, scenario, client, report, now)
+            return SubmitResult("analytic", key, job, self._queue.qsize())
 
         if self._queue.full():
             self._counters["rejected_queue_full"] += 1
@@ -391,24 +381,15 @@ class SwapService:
         engine: str,
         scenario: Scenario,
         client: str,
-        analysis: Any,
+        report: RunReport,
         now: float,
     ) -> Job:
-        """Settle a fully-covered submission from the closed-form path.
+        """Settle a fully-covered submission from its closed-form report.
 
-        The synthesized report is stored in the standard entry format
-        (stamped ``extra["path"] = "analytic"``), so the run key answers
-        as a warm hit everywhere — ``lab`` sweeps included."""
-        from repro.analysis.engine import PATH_ANALYTIC, PATH_KEY, synthesize_report
-
-        begun = time.perf_counter()
-        report = synthesize_report(scenario, analysis.prediction)
-        report.wall_seconds = time.perf_counter() - begun
-        report.extra[PATH_KEY] = PATH_ANALYTIC
-        entry: dict[str, Any] = {"ok": True, "report": report.to_dict()}
-        counts = report.milestone_counts()
-        if counts:
-            entry["milestones"] = counts
+        The report is stored in the standard entry format (stamped
+        ``extra["path"] = "analytic"``), so the run key answers as a
+        warm hit everywhere — ``lab`` sweeps included."""
+        entry = report_entry(report)
         self.store.put(key, entry)
         self._flush_store()
         job = Job(
@@ -476,13 +457,7 @@ class SwapService:
                 self._executor, self._drive, job, self._loop
             )
         except Exception as error:  # engine bug: report, don't kill the pool
-            entry = {
-                "ok": False,
-                "engine": job.engine,
-                "scenario": job.scenario.to_dict(),
-                "error_type": type(error).__name__,
-                "message": str(error),
-            }
+            entry = failure_entry(job.engine, job.scenario, error)
             outcome = "failed"
         job.entry = entry
         job.status = outcome
@@ -551,23 +526,9 @@ class SwapService:
                     wire = milestone_to_wire(milestone)
                     loop.call_soon_threadsafe(self._publish_milestone, job, wire)
                 if execution.quiesced:
-                    report = execution.run_to_completion()
-                    entry: dict[str, Any] = {"ok": True, "report": report.to_dict()}
-                    counts = report.milestone_counts()
-                    if counts:
-                        entry["milestones"] = counts
-                    return entry, "settled"
+                    return report_entry(execution.run_to_completion()), "settled"
         except ReproError as error:
-            return (
-                {
-                    "ok": False,
-                    "engine": job.engine,
-                    "scenario": job.scenario.to_dict(),
-                    "error_type": type(error).__name__,
-                    "message": str(error),
-                },
-                "failed",
-            )
+            return failure_entry(job.engine, job.scenario, error), "failed"
 
     # -- the event stream ----------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""The analytic fast-path engine and the plumbing it rides on.
+"""The closed form (``repro.analysis.engine``) and the plumbing it rides on.
 
 The acceptance bar for :mod:`repro.analysis.engine`: for every scenario
 the analyzer certifies with ``coverage="full"``, the ``analytic`` engine
@@ -9,9 +9,9 @@ and the ``extra["path"]`` provenance stamp).  For everything else it
 must *refuse* the closed form and fall back to the real simulation.
 
 Also covered here: the cached :meth:`Scenario.canonical_text` identity
-(satellite of the same PR — run keys build on it), the ``fast_path=``
-sweep plumbing, and ``lab check --verify`` executing zero engines on a
-warm store.
+(run keys build on it), the sweep's closed-form partition and
+provenance stamps, and ``lab check --verify`` executing zero engines on
+a warm store.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.analysis.engine import (
     PATH_KEY,
     PATH_SIMULATED,
     analyze_for_fast_path,
-    fast_path_eligible,
+    closed_form,
     synthesize_report,
 )
 from repro.analysis.protocol import COVERAGE_FULL, analyze_scenario
@@ -38,7 +38,7 @@ from repro.digraph.generators import (
     triangle,
 )
 from repro.lab.registry import get_family, list_families
-from repro.lab.store import open_store
+from repro.lab.store import MemoryStore, open_store
 from repro.sim.faults import Crash, CrashPoint, FaultPlan
 
 FAMILIES = sorted(list_families())
@@ -190,12 +190,14 @@ class TestFallback:
 
     def test_gate_accepts_both_fast_path_spellings(self):
         for engine in ("herlihy", "analytic"):
-            analysis = analyze_for_fast_path(Scenario(triangle()), engine)
-            assert analysis is not None and fast_path_eligible(analysis)
+            assert analyze_for_fast_path(Scenario(triangle()), engine) is not None
+            report = closed_form(engine, Scenario(triangle()))
+            assert report is not None and report.extra[PATH_KEY] == PATH_ANALYTIC
 
     def test_eligibility_requires_full_coverage(self):
-        analysis = analyze_scenario(Scenario(triangle(), timing="jittered"))
-        assert not fast_path_eligible(analysis)
+        scenario = Scenario(triangle(), timing="jittered")
+        assert analyze_scenario(scenario).coverage != COVERAGE_FULL
+        assert closed_form("herlihy", scenario) is None
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +237,7 @@ class TestCanonicalText:
 
 
 # ---------------------------------------------------------------------------
-# sweep plumbing: fast_path=, provenance stamps, shared warm stores
+# sweep plumbing: the closed-form partition, stamps, shared warm stores
 # ---------------------------------------------------------------------------
 
 
@@ -251,7 +253,7 @@ class TestSweepFastPath:
         )
 
     def test_partition_and_stamps(self):
-        report = run_sweep(self.sweep(), parallel=False, fast_path=True)
+        report = run_sweep(self.sweep(), parallel=False)
         assert report.analytic == 1 and report.executed == 2
         paths = [r.extra.get(PATH_KEY) for r in report.reports]
         assert paths == [PATH_ANALYTIC, PATH_SIMULATED, PATH_SIMULATED]
@@ -260,21 +262,27 @@ class TestSweepFastPath:
         sweep = Sweep("fp").add(
             "herlihy", Scenario(triangle(), name="fp:only", seed=1)
         )
-        report = run_sweep(sweep, parallel=False, fast_path=True)
+        report = run_sweep(sweep, parallel=False)
         assert report.mode == "analytic"
         assert report.executed == 0 and report.analytic == 1
 
-    def test_plain_sweep_is_unstamped(self):
-        report = run_sweep(self.sweep(), parallel=False)
-        assert report.analytic == 0
-        assert all(PATH_KEY not in r.extra for r in report.reports)
+    def test_unstamped_store_entries_are_served_as_stored(self):
+        # Entries recorded before the stamp existed carry no path; a
+        # warm sweep serves them byte for byte, without stamping.
+        store = MemoryStore()
+        for engine, scenario in self.sweep().items():
+            report = get_engine(engine).run(scenario)
+            assert PATH_KEY not in report.extra
+            store.put(run_key(engine, scenario), {"ok": True, "report": report.to_dict()})
+        warm = run_sweep(self.sweep(), parallel=False, store=store)
+        assert warm.cached == 3 and warm.executed == 0 and warm.analytic == 0
+        assert all(PATH_KEY not in r.extra for r in warm.reports)
 
     def test_fast_path_warms_the_same_store(self, tmp_path):
-        # Keys ignore the provenance stamp, so a fast-path sweep and a
-        # plain sweep share one warm store — in both directions.
+        # Keys ignore the provenance stamp, so a warm re-run answers
+        # every run, closed-form ones included, from the store.
         with open_store(str(tmp_path / "runs.sqlite")) as store:
-            first = run_sweep(self.sweep(), parallel=False, fast_path=True,
-                              store=store)
+            first = run_sweep(self.sweep(), parallel=False, store=store)
             assert first.analytic == 1 and first.executed == 2
             second = run_sweep(self.sweep(), parallel=False, store=store)
             assert second.cached == 3 and second.executed == 0
@@ -287,7 +295,7 @@ class TestSweepFastPath:
         sweep = Sweep("fp").add(
             "analytic", Scenario(triangle(), name="fp:analytic", seed=1)
         )
-        report = run_sweep(sweep, parallel=False, fast_path=True)
+        report = run_sweep(sweep, parallel=False)
         assert report.analytic == 1 and report.executed == 0
 
 
@@ -312,6 +320,7 @@ class TestVerifyStoreReuse:
         for name in list_engines():
             engine = get_engine(name)
             monkeypatch.setattr(type(engine), "run", boom)
+            monkeypatch.setattr(type(engine), "open", boom)
         assert main(["lab", "check", *flags, "--verify"]) == 0
         out = capsys.readouterr().out
         assert "1 stored" in out

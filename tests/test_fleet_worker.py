@@ -1,7 +1,7 @@
 """The fleet worker loop and its seeded backoff.
 
 * a single in-process worker drains a queue to a store key-for-key
-  identical to a serial ``run_sweep`` (fast path included);
+  identical to a serial ``run_sweep``, provenance stamps included;
 * a worker that loses its lease mid-chunk discards everything it
   computed and the chunk converges through a later claim — zero
   duplicates, zero losses;
@@ -110,20 +110,18 @@ class TestDrain:
     def test_fast_path_parity_with_serial_fast_path(self, tmp_path):
         sweep = smoke_sweep()
         with open_store(str(tmp_path / "serial.sqlite")) as serial:
-            serial_report = run_sweep(
-                sweep, store=serial, parallel=False, fast_path=True
-            )
+            serial_report = run_sweep(sweep, store=serial, parallel=False)
             expected = {key: serial.get(key) for key in serial.keys()}
         path = tmp_path / "fleet.sqlite"
         with FleetCoordinator(path) as coordinator:
             coordinator.enqueue(sweep.items())
-        with FleetWorker(path, worker_id="fp-w0", fast_path=True) as worker:
+        with FleetWorker(path, worker_id="fp-w0") as worker:
             worker.run()
         with open_store(str(path)) as drained:
             assert set(drained.keys()) == set(expected)
             for key, entry in expected.items():
-                # Fast path runs synthesize closed-form: identical
-                # modulo wall time, including the provenance stamp.
+                # Both runtimes answer covered runs in closed form:
+                # identical modulo wall time, provenance stamp included.
                 ours = drained.get(key)
                 assert comparable(ours) == comparable(entry)
                 ours_path = (ours.get("report") or {}).get("extra", {}).get("path")
@@ -175,8 +173,8 @@ class TestLeaseLoss:
         real_execute = worker_mod.execute_payload
         stalls = {"remaining": 1}
 
-        def stalling_execute(payload, fast_path=False):
-            entry = real_execute(payload, fast_path)
+        def stalling_execute(payload):
+            entry = real_execute(payload)
             if stalls["remaining"]:
                 stalls["remaining"] -= 1
                 # The worker "hangs" past TTL + grace; the thief claims

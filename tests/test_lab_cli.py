@@ -34,12 +34,14 @@ class TestRun:
         ]
         assert _run(args) == 0
         cold = capsys.readouterr().out
-        assert "executed 4, cached 0" in cold
+        # The all-conforming pair is answered in closed form, the
+        # last-moment pair simulates: four resolutions either way.
+        assert "executed 2, cached 0, analytic 2" in cold
         assert "4 run(s) stored" in cold
 
         assert _run(args) == 0
         warm = capsys.readouterr().out
-        assert "executed 0, cached 4" in warm
+        assert "executed 0, cached 4, analytic 0" in warm
         assert "cached" in warm
 
     def test_run_preset(self, store_path, capsys):

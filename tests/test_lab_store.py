@@ -341,9 +341,12 @@ class TestSqliteCommitBatching:
 
 
 def _sweep() -> Sweep:
+    # Jittered timing: the closed form does not cover it, so every item
+    # reaches an engine and the executed counts below stay exact.
     return Sweep("t").add_product(
         ["herlihy", "single-leader"],
         [("tri", triangle()), ("c4", cycle_digraph(4))],
+        timing="jittered",
     )
 
 
@@ -422,10 +425,10 @@ class TestSweepStoreIntegration:
         store = JsonlStore(tmp_path / "runs.jsonl")
         cold = run_sweep(_sweep(), parallel=False, store=store)
 
-        def explode(payload):
+        def explode(engine_name, scenario):
             raise AssertionError("an engine executed on a warm store")
 
-        monkeypatch.setattr(sweep_mod, "_run_payload", explode)
+        monkeypatch.setattr(sweep_mod, "simulate", explode)
         warm = run_sweep(_sweep(), parallel=False, store=store)
         assert warm.mode == "cached"
         assert warm.executed == 0 and warm.cached == 4
@@ -439,13 +442,13 @@ class TestSweepStoreIntegration:
         run_sweep(items[:2], parallel=False, store=store)  # "interrupted" half
 
         executed = []
-        real = sweep_mod._run_payload
+        real = sweep_mod.simulate
 
-        def counting(payload):
-            executed.append(payload[0])
-            return real(payload)
+        def counting(engine_name, scenario):
+            executed.append(engine_name)
+            return real(engine_name, scenario)
 
-        monkeypatch.setattr(sweep_mod, "_run_payload", counting)
+        monkeypatch.setattr(sweep_mod, "simulate", counting)
         resumed = run_sweep(items, parallel=False, store=store)
         assert len(executed) == 2  # only the missing half ran
         assert resumed.executed == 2 and resumed.cached == 2
@@ -459,8 +462,10 @@ class TestSweepStoreIntegration:
         assert len(cold.failures) == 1 and len(store) == 1
 
         monkeypatch.setattr(
-            sweep_mod, "_run_payload",
-            lambda payload: (_ for _ in ()).throw(AssertionError("executed")),
+            sweep_mod, "simulate",
+            lambda engine_name, scenario: (_ for _ in ()).throw(
+                AssertionError("executed")
+            ),
         )
         warm = run_sweep(items, parallel=False, store=store)
         assert warm.mode == "cached" and warm.executed == 0
@@ -504,6 +509,7 @@ class TestOutOfOrderPersistence:
         sweep = Sweep("t").add_product(
             ["herlihy"],
             [(f"c{n}", cycle_digraph(n)) for n in range(3, 9)],  # 6 items
+            timing="jittered",  # not covered: every item reaches the pool
         )
         # Threads instead of processes so the first chunk can stall on an
         # in-memory event; run_sweep's pool protocol is identical.
@@ -540,6 +546,7 @@ class TestOutOfOrderPersistence:
         sweep = Sweep("t").add_product(
             ["herlihy"],
             [(f"c{n}", cycle_digraph(n)) for n in range(3, 9)],
+            timing="jittered",
         )
         monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", ThreadPoolExecutor)
         unblock = threading.Event()

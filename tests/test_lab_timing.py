@@ -210,7 +210,8 @@ class TestTimingCli:
             "--timing", "uniform", "--timing", "stragglers",
             "--serial", "--store", store_path,
         ]) == 0
-        assert "executed 2, cached 0" in capsys.readouterr().out
+        # uniform is answered in closed form, stragglers simulates.
+        assert "executed 1, cached 0, analytic 1" in capsys.readouterr().out
         # Same invocation is warm (timing participates in run keys).
         assert _lab([
             "run", "--family", "cycle", "--grid", "n=4",

@@ -4,6 +4,10 @@ These tests drive the transport-agnostic core directly on a private
 event loop (``asyncio.run``), exploiting one property for determinism:
 the worker pool only makes progress at ``await`` points, so everything a
 test does between two awaits observes a frozen service.
+
+The queue, the execution pool and the milestone stream only see what
+the closed form cannot answer, so :func:`scenario` uses ``jittered``
+timing (coverage ``none``); :func:`covered` is its fully covered twin.
 """
 
 import asyncio
@@ -19,7 +23,13 @@ from repro.sim.milestones import MILESTONE_KINDS
 
 
 def scenario(seed=7):
-    return Scenario(topology=triangle(), seed=seed, name=f"serve-test:{seed}")
+    return Scenario(
+        topology=triangle(), seed=seed, name=f"serve-test:{seed}", timing="jittered"
+    )
+
+
+def covered(seed=7):
+    return Scenario(topology=triangle(), seed=seed, name=f"serve-covered:{seed}")
 
 
 def no_rate(**overrides):
@@ -339,8 +349,8 @@ class TestAnalyticTier:
 
     def test_covered_submission_settles_without_executing(self):
         async def run():
-            service = await started(no_rate(fast_path=True))
-            result = service.submit(scenario())
+            service = await started()
+            result = service.submit(covered())
             # Settled synchronously: no await has happened yet.
             assert result.status == "analytic"
             assert result.job.status == "settled"
@@ -361,9 +371,8 @@ class TestAnalyticTier:
 
     def test_uncovered_submission_falls_through_to_the_queue(self):
         async def run():
-            service = await started(no_rate(fast_path=True))
-            jittered = Scenario(topology=triangle(), seed=7, timing="jittered")
-            result = service.submit(jittered)
+            service = await started()
+            result = service.submit(scenario())
             assert result.status == "accepted"
             await service.wait(result.key, timeout=30)
             assert service._counters["analytic"] == 0
@@ -374,23 +383,22 @@ class TestAnalyticTier:
 
     def test_resubmission_after_analytic_is_a_cache_hit(self):
         async def run():
-            service = await started(no_rate(fast_path=True))
-            first = service.submit(scenario())
+            service = await started()
+            first = service.submit(covered())
             assert first.status == "analytic"
-            second = service.submit(scenario())
+            second = service.submit(covered())
             assert second.status == "cached"
             assert service._counters["cache_hits"] == 1
             await service.stop()
 
         asyncio.run(run())
 
-    def test_fast_path_is_opt_in(self):
+    def test_default_config_answers_in_closed_form(self):
         async def run():
-            service = await started()  # default config: no fast path
-            result = service.submit(scenario())
-            assert result.status == "accepted"
-            await service.wait(result.key, timeout=30)
-            assert service._counters["executed"] == 1
+            service = await started(ServiceConfig())  # no setting asks for it
+            result = service.submit(covered())
+            assert result.status == "analytic"
+            assert service._counters["executed"] == 0
             await service.stop()
 
         asyncio.run(run())
