@@ -74,7 +74,12 @@ from typing import Any
 
 from repro.analysis.outcomes import Outcome
 from repro.analysis.predict import Prediction, resolve_leaders
-from repro.analysis.protocol import COVERAGE_FULL, ScenarioAnalysis, analyze_scenario
+from repro.analysis.protocol import (
+    COVERAGE_FULL,
+    ScenarioAnalysis,
+    analyze_scenario,
+    model_supports,
+)
 from repro.api.engine import Engine, get_engine, register_engine
 from repro.api.execution import Execution, PreparedSimulation
 from repro.api.report import RunReport
@@ -108,19 +113,38 @@ PATH_SIMULATED = "simulated"
 FALLBACK_ENGINE = "herlihy"
 
 
-def analyze_for_fast_path(scenario: Scenario, engine: str) -> ScenarioAnalysis | None:
-    """The analysis gating the closed form, or ``None`` when ``engine``
-    is not the one the closed form reproduces (non-``herlihy`` engines
-    always simulate — cheaper than analyzing what we cannot use).
+def _may_cover(scenario: Scenario, engine: str) -> bool:
+    """The closed form's cheap refusal, before any analysis: the engine
+    it reproduces, a scenario the model supports, and no crashes (a
+    crashed party can never end Deal, so crashes never reach full
+    coverage)."""
+    return (
+        engine in (FALLBACK_ENGINE, AnalyticEngine.name)
+        and not scenario.faults.crashes
+        and model_supports(scenario, FALLBACK_ENGINE)
+    )
 
-    Memoized by scenario *shape* (see :func:`_shape_key`), so a seed
-    grid over one topology analyzes once.  Callers must treat the
-    result as shape-level: use it for eligibility, and — only when
-    coverage is full — its prediction, which is seed-independent by the
-    same argument the report memo rests on.  Per-scenario diagnostics
-    (``lab check``) must call :func:`analyze_scenario` directly.
+
+def analyze_for_fast_path(scenario: Scenario, engine: str) -> ScenarioAnalysis | None:
+    """The analysis gating the closed form, or ``None`` when the closed
+    form cannot cover the run.
+
+    Uncovered runs are refused before any analysis: an engine other
+    than the one the closed form reproduces, or a scenario that fails
+    :func:`~repro.analysis.protocol.model_supports` or has any crash,
+    returns ``None`` without structural diagnostics, FVS or diameter
+    work, and without taking a slot in the shape memo.  These runs
+    always simulate, so analyzing them would buy nothing.
+
+    Otherwise the analysis is memoized by scenario *shape* (see
+    :func:`_shape_key`), so a seed grid over one topology analyzes once.
+    Callers must treat the result as shape-level: use it for
+    eligibility, and — only when coverage is full — its prediction,
+    which is seed-independent by the same argument the report memo
+    rests on.  Per-scenario diagnostics (``lab check``) must call
+    :func:`analyze_scenario` directly.
     """
-    if engine not in (FALLBACK_ENGINE, AnalyticEngine.name):
+    if not _may_cover(scenario, engine):
         return None
     key = _shape_key(scenario)
     analysis = _lru_get(_ANALYSES, key)
@@ -134,7 +158,8 @@ def closed_form(engine_name: str, scenario: Scenario) -> RunReport | None:
     """The run's report in closed form, or ``None`` when it must simulate.
 
     The one resolution step every runtime takes before it simulates:
-    the shape-memoized gate (:func:`analyze_for_fast_path`), then the
+    the cheap refusal of scenarios the model cannot cover, the
+    shape-memoized gate (:func:`analyze_for_fast_path`), then the
     synthesis for a ``coverage="full"`` scenario.  ``None`` means the
     analyzer cannot certify the scenario, or the replay refused it (an
     :class:`~repro.errors.AnalysisError`, e.g. a hashkey expiry the
@@ -142,6 +167,8 @@ def closed_form(engine_name: str, scenario: Scenario) -> RunReport | None:
     The report carries the synthesis's wall time and the
     ``extra["path"] = "analytic"`` stamp.
     """
+    if not _may_cover(scenario, engine_name):
+        return None
     analysis = analyze_for_fast_path(scenario, engine_name)
     if (
         analysis is None

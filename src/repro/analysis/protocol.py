@@ -110,6 +110,23 @@ def _engine_diagnostics(scenario: Scenario, engine: str) -> tuple[Diagnostic, ..
     return ()
 
 
+def model_supports(scenario: Scenario, engine: str) -> bool:
+    """Whether the closed-form model covers ``engine`` under ``scenario``'s
+    run conditions: a validated engine, default timing, no broadcast
+    mode, no deviating strategies.
+
+    A cheap field test — no graph work — so a caller can refuse a
+    scenario before paying for :func:`analyze_scenario`'s diagnostics.
+    Crashes are judged separately (phase crashes still get a verdict).
+    """
+    return (
+        engine in PREDICTABLE_ENGINES
+        and is_default_timing(scenario.timing)
+        and not scenario.use_broadcast
+        and not scenario.strategies
+    )
+
+
 def analyze_scenario(scenario: Scenario, engine: str = "herlihy") -> ScenarioAnalysis:
     """Statically analyze ``scenario`` as ``engine`` would run it.
 
@@ -132,13 +149,7 @@ def analyze_scenario(scenario: Scenario, engine: str = "herlihy") -> ScenarioAna
         crash.at_point is not None and crash.at_time is None
         for crash in crashes.values()
     )
-    supported = (
-        engine in PREDICTABLE_ENGINES
-        and is_default_timing(scenario.timing)
-        and not scenario.use_broadcast
-        and not scenario.strategies
-    )
-    if not supported or (crashes and not phase_crash_only):
+    if not model_supports(scenario, engine) or (crashes and not phase_crash_only):
         return ScenarioAnalysis(
             engine=engine,
             coverage=COVERAGE_NONE,

@@ -7,6 +7,14 @@ irrevocable, and stored bytes can be counted (for Theorem 4.10).  A
 wrapped in blocks whose headers chain by SHA-256, so any retroactive
 mutation is detectable by :meth:`Ledger.verify_integrity`.
 
+Every byte a ledger hashes or counts is a record's :func:`canonical_encode`
+output: sorted-key, whitespace-free JSON produced in one pass of the
+standard library's C-backed encoder, whose only hook spells bytes values
+as ``{"__bytes__": hex}``.  The encoding is frozen — run keys, the stored
+byte counts and the benchmark digests depend on it — so payloads keep to
+its documented shape (str keys only), and a value or key JSON cannot
+spell raises :class:`~repro.errors.LedgerError` instead of being encoded.
+
 Visibility timing is *not* the ledger's job — the discrete-event simulator
 (:mod:`repro.sim`) delivers observations with the configured delays.
 """
@@ -28,22 +36,42 @@ _BLOCK_HEADER_BYTES = 8 + 8 + 32 + 32  # index, timestamp, prev_hash, hash
 def canonical_encode(payload: dict) -> bytes:
     """Canonical JSON encoding used for hashing and size accounting.
 
-    Bytes values are hex-encoded with a marker so encoding is injective for
-    the payload shapes the library produces.
+    Sorted keys, no whitespace, one C-backed encoder pass.  Values may
+    be dicts, lists, tuples, str, int, float, bool, ``None``, bytes or
+    bytearray; bytes values are hex-encoded with a marker so encoding is
+    injective for the payload shapes the library produces.
+
+    Dict keys must be str.  Any other value type, and any key JSON has
+    no spelling for (bytes, tuples, keys of mixed types), raises
+    :class:`LedgerError` rather than being encoded.  int, float, bool
+    and ``None`` keys are not detected — checking every key would cost
+    a second walk of the payload — but they are outside the contract
+    too: JSON spells them its own way (``true``, numbers sorted
+    numerically), not as the str keys the frozen encoding assumes.  No
+    library payload uses them (``tests/test_ledger_encoding.py`` checks
+    every engine's records).
     """
-    return json.dumps(_encode_value(payload), separators=(",", ":"), sort_keys=True).encode()
+    try:
+        return _ENCODER.encode(payload).encode()
+    except TypeError as exc:
+        raise LedgerError(f"cannot encode ledger record: {exc}") from exc
 
 
-def _encode_value(value):
+def _encode_bytes(value: object) -> dict[str, str]:
+    """The encoder's hook for every value JSON has no spelling for."""
     if isinstance(value, (bytes, bytearray)):
         return {"__bytes__": bytes(value).hex()}
-    if isinstance(value, dict):
-        return {str(k): _encode_value(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_encode_value(v) for v in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
     raise LedgerError(f"cannot encode {type(value).__name__} in a ledger record")
+
+
+#: No circular-reference markers: ledger payloads are trees (a cyclic
+#: payload ends in ``RecursionError``).
+_ENCODER = json.JSONEncoder(
+    sort_keys=True,
+    separators=(",", ":"),
+    default=_encode_bytes,
+    check_circular=False,
+)
 
 
 @dataclass(frozen=True)
@@ -53,7 +81,8 @@ class Record:
     Attributes:
         kind: Record type, e.g. ``contract_published`` or ``contract_call``.
         author: Address of the party that submitted the record.
-        payload: JSON-compatible body (bytes values allowed, hex-encoded).
+        payload: JSON-compatible body with str keys (bytes values allowed,
+            hex-encoded; see :func:`canonical_encode`).
     """
 
     kind: str

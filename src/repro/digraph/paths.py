@@ -7,6 +7,13 @@ compute it exactly with a memoised subset DP up to a configurable size and
 fall back to the safe upper bound ``|V| - 1`` beyond it.  Timeouts derived
 from an upper bound remain safe and live — they only lengthen deadlines —
 which is why the fallback is acceptable (DESIGN.md §2).
+
+``diam(D)`` needs no per-pair DP: every simple path from ``u`` ends at a
+vertex ``u`` reaches, so the longest path over reachable ordered pairs is
+the longest simple path from *any* vertex.  :func:`diameter` computes that
+with one DP over ``(vertex, visited-set)`` states shared by every start:
+``O(n·2ⁿ·deg)`` time for at most ``n·2ⁿ`` states, not ``n²`` pairwise
+DPs that each rebuild their own memo.
 """
 
 from __future__ import annotations
@@ -255,14 +262,47 @@ def diameter(digraph: Digraph, exact_limit: int = EXACT_LONGEST_PATH_LIMIT) -> i
         raise DigraphError("diameter is undefined for an arcless digraph")
     if len(digraph.vertices) > exact_limit:
         return diameter_upper_bound(digraph)
+    return _longest_from_any(digraph)
+
+
+def _longest_from_any(digraph: Digraph) -> int:
+    """The longest simple path starting anywhere in ``digraph`` (exact)."""
+    vertices = digraph.vertices
+    count = len(vertices)
+    index = {v: i for i, v in enumerate(vertices)}
+    successors = [[index[w] for w in digraph.out_neighbors(v)] for v in vertices]
+    memo: dict[tuple[int, int], int] = {}
+
+    def best_from(v: int, visited: int) -> int:
+        """Longest path length from vertex ``v`` avoiding ``visited``.
+
+        ``visited`` includes ``v`` itself.  No simple path can take more
+        arcs than there are unvisited vertices, so reaching that bound
+        ends the search early (a Hamiltonian path ends it at once).
+        """
+        key = (v, visited)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        bound = count - visited.bit_count()
+        best = 0
+        for w in successors[v]:
+            bit = 1 << w
+            if visited & bit:
+                continue
+            candidate = best_from(w, visited | bit) + 1
+            if candidate > best:
+                best = candidate
+                if best == bound:
+                    break
+        memo[key] = best
+        return best
+
     best = 0
-    for source in digraph.vertices:
-        for target in digraph.vertices:
-            if source == target:
-                continue
-            if shortest_path_length(digraph, source, target) is None:
-                continue
-            best = max(best, _longest_exact(digraph, source, target))
+    for start in range(count):
+        best = max(best, best_from(start, 1 << start))
+        if best == count - 1:
+            break
     return best
 
 

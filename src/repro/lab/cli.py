@@ -415,14 +415,17 @@ def _verify_prediction(
     engines agree on what is runnable).
 
     ``stored`` is this run's already-recorded store entry, when one
-    exists under the same run key: a successful entry's report is
-    cross-checked as-is instead of re-executing the engine, and a
-    failure entry *is* the refusal an invalid scenario demands.  The
-    residue always runs the engine, never the closed form: this is the
-    oracle the closed form is checked against.  ``source`` says which
-    route produced the evidence: ``stored``, ``executed``, or ``-``
-    (nothing ran).
+    exists under the same run key: a successful *simulated* entry's
+    report is cross-checked as-is instead of re-executing the engine,
+    and a failure entry *is* the refusal an invalid scenario demands.
+    An entry the closed form wrote (``extra["path"] == "analytic"``) is
+    no evidence — it would check the prediction against itself — so
+    that run simulates like the residue.  The residue always runs the
+    engine, never the closed form: this is the oracle the closed form
+    is checked against.  ``source`` says which route produced the
+    evidence: ``stored``, ``executed``, or ``-`` (nothing ran).
     """
+    from repro.analysis.engine import PATH_ANALYTIC, PATH_KEY
     from repro.analysis.protocol import (
         COVERAGE_FULL,
         COVERAGE_VERDICT,
@@ -440,7 +443,11 @@ def _verify_prediction(
         return "FAIL", ["engine ran a scenario the analyzer called invalid"], "executed"
     if analysis.coverage not in (COVERAGE_VERDICT, COVERAGE_FULL):
         return "skip", [], "-"
-    if stored is not None and stored.get("ok"):
+    if (
+        stored is not None
+        and stored.get("ok")
+        and stored["report"].get("extra", {}).get(PATH_KEY) != PATH_ANALYTIC
+    ):
         report = RunReport.from_dict(stored["report"])
         source = "stored"
     else:

@@ -300,8 +300,16 @@ class TestSweepFastPath:
 
 
 # ---------------------------------------------------------------------------
-# lab check --verify: a warm store means zero engine executions
+# lab check --verify: a warm simulated store means zero engine executions
 # ---------------------------------------------------------------------------
+
+
+VERIFY_FLAGS = ["--family", "cycle", "--grid", "n=3", "--mix", "all-conforming"]
+
+
+def stored_paths(store_path: str) -> list[str]:
+    with open_store(store_path) as store:
+        return [store.get(key)["report"]["extra"][PATH_KEY] for key in store.keys()]
 
 
 class TestVerifyStoreReuse:
@@ -309,10 +317,14 @@ class TestVerifyStoreReuse:
         from repro.__main__ import main
 
         store_path = str(tmp_path / "runs.sqlite")
-        flags = ["--family", "cycle", "--grid", "n=3",
-                 "--mix", "all-conforming", "--store", store_path]
-        assert main(["lab", "run", *flags, "--serial"]) == 0
+        flags = [*VERIFY_FLAGS, "--store", store_path]
+        # Warm the store by simulation: with the closed form refusing,
+        # the entry is an engine's report, i.e. evidence verify may reuse.
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.api.sweep.closed_form", lambda engine, scenario: None)
+            assert main(["lab", "run", *flags, "--serial"]) == 0
         capsys.readouterr()
+        assert stored_paths(store_path) == [PATH_SIMULATED]
 
         def boom(self, scenario):
             raise AssertionError("engine executed despite a warm store")
@@ -324,3 +336,19 @@ class TestVerifyStoreReuse:
         assert main(["lab", "check", *flags, "--verify"]) == 0
         out = capsys.readouterr().out
         assert "1 stored" in out
+
+    def test_closed_form_entry_is_simulated_not_reused(self, tmp_path, capsys):
+        # A store warmed by the default resolution holds the closed
+        # form's own report; verifying against it would check the
+        # prediction against itself, so verify must run the engine.
+        from repro.__main__ import main
+
+        store_path = str(tmp_path / "runs.sqlite")
+        flags = [*VERIFY_FLAGS, "--store", store_path]
+        assert main(["lab", "run", *flags, "--serial"]) == 0
+        capsys.readouterr()
+        assert stored_paths(store_path) == [PATH_ANALYTIC]
+
+        assert main(["lab", "check", *flags, "--verify"]) == 0
+        out = capsys.readouterr().out
+        assert "0 prediction failure(s) (1 executed)" in out

@@ -1,11 +1,13 @@
 """Property-based tests (hypothesis) for the digraph substrate.
 
 These check the §2.1 structural facts the protocol relies on, over random
-strongly connected digraphs.
+strongly connected digraphs, and check :func:`diameter`'s single subset DP
+against the pairwise definition over arbitrary random digraphs.
 """
 
 from random import Random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,8 +23,10 @@ from repro.digraph.paths import (
     diameter,
     is_strongly_connected,
     longest_path_length,
+    shortest_path_length,
     strongly_connected_components,
 )
+from repro.errors import DigraphError
 
 
 @st.composite
@@ -32,6 +36,57 @@ def sc_digraphs(draw, max_vertices: int = 8):
     p = draw(st.floats(min_value=0.0, max_value=0.6))
     seed = draw(st.integers(min_value=0, max_value=10_000))
     return random_strongly_connected(n, p, Random(seed))
+
+
+@st.composite
+def any_digraphs(draw, max_vertices: int = 9):
+    """Random digraphs with at least one arc, strongly connected or not."""
+    n = draw(st.integers(min_value=2, max_value=max_vertices))
+    vertices = [f"v{i}" for i in range(n)]
+    pairs = [(u, v) for u in vertices for v in vertices if u != v]
+    arcs = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    return Digraph(vertices, arcs)
+
+
+def pairwise_diameter(digraph: Digraph) -> int:
+    """The definition: the longest ``D(u, v)`` over reachable ordered pairs."""
+    return max(
+        (
+            longest_path_length(digraph, u, v)
+            for u in digraph.vertices
+            for v in digraph.vertices
+            if u != v and shortest_path_length(digraph, u, v) is not None
+        ),
+        default=0,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_digraphs())
+def test_diameter_matches_pairwise_definition(digraph):
+    assert diameter(digraph) == pairwise_diameter(digraph)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sc_digraphs(max_vertices=9))
+def test_diameter_matches_pairwise_definition_strongly_connected(digraph):
+    assert diameter(digraph) == pairwise_diameter(digraph)
+
+
+@settings(max_examples=40, deadline=None)
+@given(any_digraphs(), st.integers(min_value=1, max_value=8))
+def test_diameter_above_exact_limit_is_the_vertex_bound(digraph, exact_limit):
+    if digraph.vertex_count() > exact_limit:
+        assert diameter(digraph, exact_limit=exact_limit) == digraph.vertex_count() - 1
+    else:
+        assert diameter(digraph, exact_limit=exact_limit) == diameter(digraph)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=1, max_value=9))
+def test_diameter_of_an_arcless_digraph_raises(n):
+    with pytest.raises(DigraphError):
+        diameter(Digraph([f"v{i}" for i in range(n)], []))
 
 
 @settings(max_examples=40, deadline=None)

@@ -24,6 +24,7 @@ from repro.errors import AnalysisError
 from repro.fleet import FleetCoordinator, FleetWorker
 from repro.lab.store import MemoryStore, open_store
 from repro.serve.service import ServiceConfig, SwapService
+from repro.sim.faults import CrashPoint, FaultPlan
 
 COVERED = Scenario(topology=triangle(), seed=3, name="resolve:covered")
 UNCOVERED = Scenario(
@@ -120,3 +121,74 @@ class TestRefusalFallsBack:
 
     def test_serve_simulates(self):
         self.assert_simulated(serve_entries([("herlihy", COVERED)]))
+
+
+#: One scenario per way a run falls outside the closed form's model.
+REFUSED = {
+    "crash": Scenario(
+        topology=triangle(), seed=3, name="refused:crash",
+        faults=FaultPlan().crash("Bob", at_point=CrashPoint.BEFORE_PHASE_TWO),
+    ),
+    "strategy": Scenario(
+        topology=triangle(), seed=3, name="refused:strategy",
+        strategies={"Carol": "last-moment-unlock"},
+    ),
+    "broadcast": Scenario(
+        topology=triangle(), seed=3, name="refused:broadcast", use_broadcast=True
+    ),
+    "jittered": UNCOVERED,
+}
+
+
+class TestUncoveredSkipsAnalysis:
+    """A scenario the closed form can never cover is refused before any
+    analysis, in every runtime, and never takes a shape-memo slot."""
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("analyzed a scenario the closed form cannot cover")
+
+    @pytest.fixture
+    def no_analysis(self, monkeypatch):
+        monkeypatch.setattr(analytic_engine, "analyze_scenario", self.refuse)
+
+    @pytest.mark.parametrize("name", sorted(REFUSED))
+    def test_closed_form_answers_none(self, name, no_analysis, monkeypatch):
+        scenario = REFUSED[name]
+        before = len(analytic_engine._ANALYSES)
+        for engine in ("herlihy", "analytic"):
+            assert analytic_engine.analyze_for_fast_path(scenario, engine) is None
+        # The closed form refuses before it even consults the memo.
+        monkeypatch.setattr(analytic_engine, "analyze_for_fast_path", self.refuse)
+        for engine in ("herlihy", "analytic"):
+            assert analytic_engine.closed_form(engine, scenario) is None
+        assert len(analytic_engine._ANALYSES) == before
+        assert analytic_engine._shape_key(scenario) not in analytic_engine._ANALYSES
+
+    def test_a_covered_triangle_still_synthesizes(self):
+        scenario = Scenario(topology=triangle(), seed=3, name="resolve:gate", delta=700)
+        report = analytic_engine.closed_form("herlihy", scenario)
+        assert report is not None and report.extra["path"] == "analytic"
+        assert analytic_engine._shape_key(scenario) in analytic_engine._ANALYSES
+
+    def test_every_runtime_simulates(self, tmp_path, no_analysis):
+        items = [("herlihy", scenario) for scenario in REFUSED.values()]
+        keys = sorted(run_key(engine, scenario) for engine, scenario in items)
+        for entries in (
+            sweep_entries(items),
+            fleet_entries(items, tmp_path),
+            serve_entries(items),
+        ):
+            assert sorted(entries) == keys
+            assert {path_of(entry) for entry in entries.values()} == {"simulated"}
+
+    def test_serve_queues_without_analysis(self, no_analysis):
+        async def run() -> str:
+            service = SwapService(ServiceConfig(rate=0.0), store=MemoryStore())
+            await service.start()
+            result = service.submit(REFUSED["strategy"])
+            await service.wait(result.key, timeout=30)
+            await service.stop()
+            return result.status
+
+        assert asyncio.run(run()) == "accepted"
